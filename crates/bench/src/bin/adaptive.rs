@@ -6,7 +6,7 @@
 //!
 //! * **adaptive** — zero manual hints; a [`doppel_tuner::Tuner`] control loop
 //!   samples the engine's telemetry every epoch and promotes/demotes split
-//!   labels (and steers phase length) online;
+//!   labels online;
 //! * **oracle** — every item that will ever be hot is labelled split up
 //!   front, via the workload's deterministic rotation schedule. This is the
 //!   upper bound a perfect static `--hint-items` could reach.
@@ -62,12 +62,11 @@ fn main() {
     // small CI box, so the promote threshold and epoch are flags with
     // defaults scaled for modest hosts (a longer epoch accumulates enough
     // heat per decision for promotion to trigger at low conflict rates).
-    let mut tuner_cfg = doppel_common::TunerConfig {
+    let tuner_cfg = doppel_common::TunerConfig {
         epoch: Duration::from_millis(args.get_u64("tuner-epoch-ms", 250)),
         promote_min_hits: args.get_u64("promote-hits", 4),
         ..Default::default()
     };
-    tuner_cfg.max_phase_len = tuner_cfg.max_phase_len.max(config.phase_len);
     let doppel_config = DoppelConfig {
         workers: config.cores,
         store_shards: config.shards,

@@ -1,7 +1,10 @@
 //! Figure 13: average read-transaction latency in Doppel as a function of the
 //! phase length, for three LIKE workloads: uniform (nothing split), skewed
 //! 50% writes, and skewed 90% writes. Longer phases mean stashed reads wait
-//! longer for the next joined phase.
+//! longer for the next joined phase, but at most `phase_len / 4`, not a whole
+//! phase: the coordinator ends a split phase once its first stashed
+//! transaction has waited `phase_len × max_stash_wait_fraction` (default
+//! 0.25).
 //!
 //! Run with `--help` (`cargo run --release --bin fig13 -- --help`)
 //! for the full flag list.

@@ -8,29 +8,24 @@ use std::time::Duration;
 /// The coordinator "usually starts a phase change every 20 milliseconds, but
 /// feedback mechanisms allow it to flexibly adjust to the workload":
 /// it delays split phases when nothing is contended and hurries the next
-/// joined phase when split-phase workers stash too many transactions.
+/// joined phase when split-phase workers stash transactions.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PhaseFeedback {
     /// If during a joined phase no record accumulates enough conflicts to be
     /// split, the coordinator delays the next split phase and re-examines the
     /// counters after another phase length.
     pub delay_split_when_uncontended: bool,
-    /// If the fraction of split-phase transactions that had to be stashed
-    /// exceeds this threshold, the coordinator ends the split phase early
-    /// ("hurries the next joined phase").
-    pub hurry_joined_stash_fraction: f64,
-    /// Minimum time the coordinator lets a split phase run before the
-    /// stash-fraction feedback may cut it short.
-    pub min_split_fraction: f64,
+    /// Bounds how long a stashed transaction waits for the next joined
+    /// phase, as a fraction of the phase length: a split phase ends once its
+    /// first stashed transaction has waited `phase_len ×` this fraction
+    /// ("hurries the next joined phase"). A split phase that stashes nothing
+    /// runs its full length.
+    pub max_stash_wait_fraction: f64,
 }
 
 impl Default for PhaseFeedback {
     fn default() -> Self {
-        PhaseFeedback {
-            delay_split_when_uncontended: true,
-            hurry_joined_stash_fraction: 0.5,
-            min_split_fraction: 0.25,
-        }
+        PhaseFeedback { delay_split_when_uncontended: true, max_stash_wait_fraction: 0.25 }
     }
 }
 
@@ -93,28 +88,17 @@ impl DurabilityConfig {
     }
 }
 
-/// Bounds and targets for the adaptive contention controller (the
-/// `doppel_tuner` crate).
+/// Knobs of the adaptive contention controller (the `doppel_tuner` crate).
 ///
 /// The tuner runs as a closed loop beside the coordinator: each `epoch` it
-/// samples conflict heat, split-phase write activity and stash-replay
-/// latency, then promotes/demotes split labels and steers the phase length
-/// within `[min_phase_len, max_phase_len]` toward `stash_replay_target`.
-/// These knobs bound how far it may steer; the decisions themselves are
-/// taken from live signals.
+/// samples conflict heat, split-phase write activity and engine counters,
+/// then promotes/demotes split labels and adjusts the classifier's
+/// thresholds. These knobs bound how eagerly it acts; the decisions
+/// themselves are taken from live signals.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TunerConfig {
     /// Control-loop period: how often the tuner samples and decides.
     pub epoch: Duration,
-    /// Lower bound for the tuned phase length.
-    pub min_phase_len: Duration,
-    /// Upper bound for the tuned phase length.
-    pub max_phase_len: Duration,
-    /// Target p95 stash-to-replay latency. Above it the tuner shortens
-    /// phases (stashed transactions wait for the next joined phase, so
-    /// shorter phases bound their wait); far below it the tuner lengthens
-    /// phases to amortise transition barriers.
-    pub stash_replay_target: Duration,
     /// Conflict-heat delta (sampled conflicts per epoch on one key) at which
     /// the tuner promotes the key to split.
     pub promote_min_hits: u64,
@@ -130,9 +114,6 @@ impl Default for TunerConfig {
     fn default() -> Self {
         TunerConfig {
             epoch: Duration::from_millis(50),
-            min_phase_len: Duration::from_millis(5),
-            max_phase_len: Duration::from_millis(80),
-            stash_replay_target: Duration::from_millis(30),
             promote_min_hits: 48,
             demote_idle_epochs: 3,
             decision_history: 16,
@@ -145,12 +126,6 @@ impl TunerConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.epoch.is_zero() {
             return Err("tuner.epoch must be non-zero".into());
-        }
-        if self.min_phase_len.is_zero() {
-            return Err("tuner.min_phase_len must be non-zero".into());
-        }
-        if self.min_phase_len > self.max_phase_len {
-            return Err("tuner phase_len bounds are empty (min > max)".into());
         }
         if self.promote_min_hits == 0 {
             return Err("tuner.promote_min_hits must be at least 1".into());
@@ -269,6 +244,9 @@ impl DoppelConfig {
         if self.phase_len.is_zero() {
             return Err("phase_len must be non-zero".into());
         }
+        if !(0.0..).contains(&self.feedback.max_stash_wait_fraction) {
+            return Err("feedback.max_stash_wait_fraction must be non-negative".into());
+        }
         self.tuner.validate()?;
         Ok(())
     }
@@ -310,6 +288,9 @@ mod tests {
             .validate()
             .is_err());
         assert!(DoppelConfig { workers: 5000, ..Default::default() }.validate().is_err());
+        let mut negative_wait = DoppelConfig::default();
+        negative_wait.feedback.max_stash_wait_fraction = -0.5;
+        assert!(negative_wait.validate().is_err());
     }
 
     #[test]
@@ -317,15 +298,6 @@ mod tests {
         let ok = TunerConfig::default();
         assert!(ok.validate().is_ok());
         assert!(TunerConfig { epoch: Duration::ZERO, ..ok.clone() }.validate().is_err());
-        assert!(TunerConfig { min_phase_len: Duration::ZERO, ..ok.clone() }.validate().is_err());
-        // Empty bounds: min > max.
-        assert!(TunerConfig {
-            min_phase_len: Duration::from_millis(50),
-            max_phase_len: Duration::from_millis(10),
-            ..ok.clone()
-        }
-        .validate()
-        .is_err());
         assert!(TunerConfig { promote_min_hits: 0, ..ok.clone() }.validate().is_err());
         assert!(TunerConfig { demote_idle_epochs: 0, ..ok.clone() }.validate().is_err());
         assert!(TunerConfig { decision_history: 0, ..ok.clone() }.validate().is_err());

@@ -38,7 +38,8 @@ pub struct TuneObservation {
     /// cause conflicts", §5.5), which is why heat alone cannot decide
     /// demotion: a split key's conflict heat goes cold by design.
     pub split_activity: Vec<(Key, u64)>,
-    /// The phase length currently in effect (live, not the configured value).
+    /// The engine's configured phase length (reported, not steered: the
+    /// coordinator bounds stash waits per phase on its own).
     pub phase_len: Duration,
     /// The classifier thresholds currently in effect.
     pub thresholds: TuneThresholds,
@@ -59,9 +60,6 @@ pub trait TuneSink: Send + Sync {
     /// Moves `key` back to reconciled state. Returns `false` when the key
     /// was not split.
     fn demote(&self, key: Key) -> bool;
-    /// Sets the phase length for subsequent phases (the coordinator reads it
-    /// at every cycle). Zero-length requests are ignored.
-    fn set_phase_len(&self, len: Duration);
     /// Installs new classifier thresholds.
     fn set_thresholds(&self, thresholds: TuneThresholds);
 }
@@ -73,7 +71,7 @@ pub struct TuneDecision {
     /// The tuner epoch (tick number) the decision was taken in.
     pub epoch: u64,
     /// Short machine-readable action, e.g. `promote Raw/7`,
-    /// `phase_len 16ms`.
+    /// `threshold split_min_conflicts=6`.
     pub action: String,
     /// Human-readable justification, e.g. `61 conflicts in epoch`.
     pub reason: String,

@@ -8,8 +8,19 @@
 //! stash too many transactions, the coordinator hurries the next joined
 //! phase."
 //!
+//! Here the hurry rule is a bound on each stashed transaction's wait: a split
+//! phase ends after `phase_len`, or once the first transaction stashed in it
+//! has waited `phase_len ×` [`PhaseFeedback::max_stash_wait_fraction`],
+//! whichever comes first. Stashed transactions replay at the start of the
+//! next joined phase, so no stash waits much longer than that bound (5 ms at
+//! the default 20 ms phases). A split phase that stashes nothing runs its
+//! full length, so write-only traffic keeps absorbing writes in per-core
+//! slices for the whole phase.
+//!
 //! The coordinator only *initiates* transitions; the release itself is
 //! performed by the last worker to acknowledge (see [`crate::phase`]).
+//!
+//! [`PhaseFeedback::max_stash_wait_fraction`]: doppel_common::PhaseFeedback::max_stash_wait_fraction
 
 use crate::phase::Phase;
 use crate::shared::DoppelShared;
@@ -23,10 +34,8 @@ const POLL_INTERVAL: Duration = Duration::from_micros(500);
 /// Runs the coordinator loop until shutdown is requested. Intended to be the
 /// body of a dedicated thread spawned by [`crate::DoppelDb::spawn_coordinator`].
 pub fn run(shared: Arc<DoppelShared>) {
+    let phase_len = shared.config.phase_len;
     while !shared.is_shutdown() {
-        // Re-read every cycle: the adaptive tuner may steer the phase length
-        // between its configured bounds while the engine runs.
-        let phase_len = shared.phase_len();
         // ---- Joined phase ----
         sleep_observing_shutdown(&shared, phase_len);
         if shared.is_shutdown() {
@@ -79,30 +88,25 @@ fn should_start_split(shared: &DoppelShared) -> bool {
         >= shared.split_gate_conflicts.load(Ordering::Relaxed)
 }
 
-/// Lets the split phase run for `phase_len`, ending it early when the stash
-/// fraction exceeds the configured threshold ("hurry the next joined phase").
+/// Lets the split phase run for `phase_len`, ending it early once the first
+/// transaction stashed in it has waited the configured fraction of a phase
+/// ("hurry the next joined phase"). The first stash is noticed on the next
+/// poll, so the bound overshoots by at most one poll interval.
 fn run_split_phase(shared: &DoppelShared, phase_len: Duration) {
     let start = Instant::now();
-    let min_split = phase_len.mul_f64(shared.config.feedback.min_split_fraction);
+    let max_stash_wait = phase_len.mul_f64(shared.config.feedback.max_stash_wait_fraction);
+    let mut first_stash_seen: Option<Instant> = None;
     loop {
         std::thread::sleep(POLL_INTERVAL);
-        if shared.is_shutdown() {
+        if shared.is_shutdown() || start.elapsed() >= phase_len {
             return;
         }
-        let elapsed = start.elapsed();
-        if elapsed >= phase_len {
-            return;
-        }
-        if elapsed >= min_split {
-            let committed = shared.phase_committed.load(Ordering::Relaxed);
-            let stashed = shared.phase_stashed.load(Ordering::Relaxed);
-            let total = committed + stashed;
-            if total > 128
-                && stashed as f64
-                    > shared.config.feedback.hurry_joined_stash_fraction * total as f64
-            {
+        if let Some(seen) = first_stash_seen {
+            if seen.elapsed() >= max_stash_wait {
                 return;
             }
+        } else if shared.phase_stashed.load(Ordering::Relaxed) > 0 {
+            first_stash_seen = Some(Instant::now());
         }
     }
 }

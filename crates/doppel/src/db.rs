@@ -167,7 +167,7 @@ impl DoppelDb {
 /// The adaptive tuner's view of a Doppel database: sampling and the apply
 /// path for its decisions. Split-label changes go through the classifier
 /// (same path as manual labels, §5.5) and take effect at the next
-/// transition; phase length and thresholds take effect immediately.
+/// transition; thresholds take effect immediately.
 impl TuneSink for DoppelDb {
     fn observe(&self) -> TuneObservation {
         let classifier = self.shared.classifier.lock();
@@ -175,7 +175,7 @@ impl TuneSink for DoppelDb {
             stats: self.shared.stats.snapshot(),
             split_keys: classifier.split_set().iter().map(|(k, op)| (*k, *op)).collect(),
             split_activity: classifier.split_activity(),
-            phase_len: self.shared.phase_len(),
+            phase_len: self.shared.config.phase_len,
             thresholds: classifier.thresholds(),
         }
     }
@@ -200,10 +200,6 @@ impl TuneSink for DoppelDb {
         }
         classifier.label_reconciled(&key);
         true
-    }
-
-    fn set_phase_len(&self, len: std::time::Duration) {
-        self.shared.set_phase_len(len);
     }
 
     fn set_thresholds(&self, thresholds: TuneThresholds) {
@@ -560,11 +556,8 @@ mod tests {
         let db = DoppelDb::new(manual_config());
         let sink: &dyn TuneSink = &db;
 
-        // Phase length: applied immediately, zero ignored.
-        sink.set_phase_len(Duration::from_millis(7));
-        assert_eq!(sink.observe().phase_len, Duration::from_millis(7));
-        sink.set_phase_len(Duration::ZERO);
-        assert_eq!(sink.observe().phase_len, Duration::from_millis(7));
+        // Phase length: reported as configured.
+        assert_eq!(sink.observe().phase_len, db.config().phase_len);
 
         // Thresholds: classifier and coordinator gate move together.
         sink.set_thresholds(TuneThresholds { split_min_conflicts: 3, unsplit_stash_ratio: 2.0 });

@@ -10,7 +10,7 @@ use doppel_telemetry::{Registry, SharedHistogram};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Everything a Doppel worker or coordinator needs to reach through one
 /// `Arc`.
@@ -34,9 +34,8 @@ pub struct DoppelShared {
     /// Joined-phase conflicts on splittable operations since the last
     /// transition — the coordinator's "is anything contended?" signal.
     pub splittable_conflicts: AtomicU64,
-    /// Transactions committed since the last transition (feedback input).
-    pub phase_committed: AtomicU64,
-    /// Transactions stashed since the last transition (feedback input).
+    /// Transactions stashed since the last transition (the coordinator's
+    /// stash-wait signal).
     pub phase_stashed: AtomicU64,
     /// Set once at shutdown; all wait loops observe it.
     pub shutdown: AtomicBool,
@@ -57,10 +56,6 @@ pub struct DoppelShared {
     pub hist_stash_replay: Arc<SharedHistogram>,
     /// When the current phase began (updated by the transition completer).
     phase_started: Mutex<Instant>,
-    /// The phase length currently in effect, in nanoseconds. Starts at
-    /// `config.phase_len`; the adaptive tuner may steer it between its
-    /// configured bounds. The coordinator reads it every cycle.
-    phase_len_ns: AtomicU64,
     /// The live value of `split_min_conflicts` the coordinator gates split
     /// phases on (the classifier keeps its own copy; both are updated
     /// together through [`crate::DoppelDb`]'s tuning hook).
@@ -85,7 +80,6 @@ impl DoppelShared {
             samplers: (0..workers).map(|_| Mutex::new(WorkerSample::new())).collect(),
             completion_lock: Mutex::new(()),
             splittable_conflicts: AtomicU64::new(0),
-            phase_committed: AtomicU64::new(0),
             phase_stashed: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             wal: RwLock::new(None),
@@ -95,24 +89,8 @@ impl DoppelShared {
             hist_reconcile,
             hist_stash_replay,
             phase_started: Mutex::new(Instant::now()),
-            phase_len_ns: AtomicU64::new(config.phase_len.as_nanos().min(u64::MAX as u128) as u64),
             split_gate_conflicts: AtomicU64::new(config.split_min_conflicts),
             config,
-        }
-    }
-
-    /// The phase length currently in effect (the configured value until the
-    /// tuner adjusts it).
-    pub fn phase_len(&self) -> Duration {
-        Duration::from_nanos(self.phase_len_ns.load(Ordering::Relaxed))
-    }
-
-    /// Sets the phase length for subsequent phases. Zero is ignored (a
-    /// zero-length phase would spin the coordinator).
-    pub fn set_phase_len(&self, len: Duration) {
-        let ns = len.as_nanos().min(u64::MAX as u128) as u64;
-        if ns > 0 {
-            self.phase_len_ns.store(ns, Ordering::Relaxed);
         }
     }
 
@@ -198,7 +176,6 @@ impl DoppelShared {
 
         // Reset the feedback counters for the phase that is about to start.
         self.splittable_conflicts.store(0, Ordering::Relaxed);
-        self.phase_committed.store(0, Ordering::Relaxed);
         self.phase_stashed.store(0, Ordering::Relaxed);
 
         self.phase.release(target.seq);

@@ -135,7 +135,6 @@ impl DoppelWorker {
     fn record_commit(&mut self) {
         EngineStats::bump(&self.shared.stats.commits);
         self.shared.samplers[self.core].lock().record_commit();
-        self.shared.phase_committed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Runs one transaction in joined mode (plain OCC).

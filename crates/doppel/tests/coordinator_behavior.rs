@@ -60,10 +60,9 @@ fn stash_storm_hurries_the_joined_phase() {
         split_min_conflicts: 1,
         split_conflict_fraction: 0.0,
         unsplit_write_fraction: 0.0,
-        // Hurry as soon as >30% of split-phase transactions are stashed.
+        // End the split phase 10 ms after its first stash.
         feedback: doppel_common::PhaseFeedback {
-            hurry_joined_stash_fraction: 0.3,
-            min_split_fraction: 0.05,
+            max_stash_wait_fraction: 0.05,
             ..Default::default()
         },
         ..DoppelConfig::default()
@@ -96,20 +95,121 @@ fn stash_storm_hurries_the_joined_phase() {
         (submitted, first_stash_completion)
     });
     let (submitted, first_completion) = worker.join().unwrap();
+    let split_phases = split_phase_hist(&db);
     db.shutdown();
 
     assert!(submitted > 0);
     let stats = db.stats();
     if stats.stashes > 0 {
-        // At least one split phase stashed reads; the hurry rule must have cut
-        // that split phase short, so the first stashed read completed well
-        // before a full 200 ms phase elapsed on top of the joined phase.
+        // At least one split phase stashed reads; the wait bound must have
+        // cut that split phase short, so the first stashed read completed
+        // well before a full 200 ms phase elapsed on top of the joined phase.
         let completed_at = first_completion.expect("a stashed read should have completed");
         assert!(
             completed_at < Duration::from_millis(550),
             "stashed reads waited {completed_at:?}, the split phase was not hurried"
         );
+        let longest = Duration::from_nanos(split_phases.max_ns());
+        assert!(longest < phase_len / 2, "a stashing split phase ran {longest:?}");
     }
+}
+
+/// The wait bound only fires on stashes: split-key writes never stash, so
+/// every split phase runs its full nominal length.
+#[test]
+fn stash_free_split_phases_run_their_full_length() {
+    let phase_len = Duration::from_millis(20);
+    let db =
+        Arc::new(DoppelDb::start(DoppelConfig { workers: 2, phase_len, ..Default::default() }));
+    let hot = Key::raw(0);
+    db.load(hot, Value::Int(0));
+    db.label_split(hot, OpKind::Add);
+
+    let workers: Vec<_> = (0..2usize)
+        .map(|core| {
+            let db = Arc::clone(&db);
+            std::thread::spawn(move || {
+                let mut w = db.handle(core);
+                let incr = Arc::new(ProcedureFn::new("incr", move |tx| tx.add(hot, 1)));
+                let started = Instant::now();
+                while started.elapsed() < Duration::from_millis(400) {
+                    w.execute(incr.clone());
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().unwrap();
+    }
+    // Read before shutdown, which may cut the last split phase short.
+    let split_phases = split_phase_hist(&db);
+    db.shutdown();
+
+    assert_eq!(db.stats().stashes, 0, "split-key writes never stash");
+    assert!(split_phases.count() >= 3, "only {} split phases ran", split_phases.count());
+    let shortest = Duration::from_nanos(split_phases.quantile_ns(0.0));
+    assert!(
+        shortest >= phase_len.mul_f64(0.9),
+        "a stash-free split phase ended after {shortest:?} of a {phase_len:?} phase"
+    );
+}
+
+/// The wait bound is per stashed transaction: a read stashed in a 200 ms
+/// split phase replays within `phase_len × max_stash_wait_fraction` (50 ms at
+/// the default fraction) plus scheduling slack, not after the whole phase.
+#[test]
+fn stashed_read_waits_at_most_the_configured_fraction() {
+    let phase_len = Duration::from_millis(200);
+    let config = DoppelConfig { workers: 1, phase_len, ..DoppelConfig::default() };
+    let bound = phase_len.mul_f64(config.feedback.max_stash_wait_fraction);
+    let db = Arc::new(DoppelDb::start(config));
+    let hot = Key::raw(0);
+    db.load(hot, Value::Int(0));
+    db.label_split(hot, OpKind::Add);
+
+    let worker_db = Arc::clone(&db);
+    let worker = std::thread::spawn(move || {
+        let mut w = worker_db.handle(0);
+        let incr = Arc::new(ProcedureFn::new("incr", move |tx| tx.add(hot, 1)));
+        let read = Arc::new(ProcedureFn::read_only("read", move |tx| tx.get(hot).map(|_| ())));
+        let mut stashed_at = std::collections::HashMap::new();
+        let mut waits = Vec::new();
+        let started = Instant::now();
+        // Writes keep the key split (stashes stay below the unsplit ratio);
+        // the reads stash in every split phase. The pause keeps each phase's
+        // stash small, so replaying it adds nothing measurable to the wait.
+        while started.elapsed() < Duration::from_millis(900) {
+            std::thread::sleep(Duration::from_millis(1));
+            if let Outcome::Aborted(TxError::Shutdown) = w.execute(incr.clone()) {
+                break;
+            }
+            if let Outcome::Stashed(ticket) = w.execute(read.clone()) {
+                stashed_at.insert(ticket, Instant::now());
+            }
+            for completion in w.take_completions() {
+                assert!(completion.result.is_ok(), "{completion:?}");
+                if let Some(at) = stashed_at.remove(&completion.ticket) {
+                    waits.push(at.elapsed());
+                }
+            }
+        }
+        waits
+    });
+    let waits = worker.join().unwrap();
+    db.shutdown();
+
+    assert!(!waits.is_empty(), "no stashed read completed");
+    let longest = waits.iter().max().unwrap();
+    let slack = phase_len / 8;
+    assert!(
+        *longest <= bound + slack,
+        "a stashed read waited {longest:?}; bound {bound:?} + slack {slack:?}"
+    );
+}
+
+fn split_phase_hist(db: &DoppelDb) -> doppel_telemetry::Histogram {
+    let registry = db.telemetry().expect("doppel always has a telemetry registry");
+    registry.snapshot().hist("phase_split").cloned().unwrap_or_default()
 }
 
 /// Workers that disappear mid-split-phase must not lose slice updates or hang

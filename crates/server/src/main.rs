@@ -104,7 +104,7 @@ fn usage() -> ! {
            --rubis-scale SZ  preload RUBiS data: small | paper\n\
            --adaptive        run the adaptive contention controller (the\n\
                              default for the doppel engine): learns split\n\
-                             labels and phase length from live telemetry\n\
+                             labels and thresholds from live telemetry\n\
            --no-adaptive     disable the adaptive controller\n\
            --tuner-epoch-ms MS  adaptive control-loop period (default 50)\n\
            --promote-hits N  conflict-heat delta per epoch at which the\n\

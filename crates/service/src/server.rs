@@ -119,7 +119,7 @@ pub struct ServerEngine {
     pub in_doubt: Vec<doppel_wal::InDoubtTxn>,
     /// Run the adaptive contention controller alongside the coordinator
     /// (Doppel engines only): a [`doppel_tuner::Tuner`] thread that learns
-    /// split labels and phase length from live telemetry, replacing manual
+    /// split labels and thresholds from live telemetry, replacing manual
     /// `--hint-items` labelling.
     pub adaptive: bool,
 }
@@ -535,8 +535,8 @@ impl Server {
         ));
 
         // Close the loop: the tuner thread samples the engine's telemetry
-        // each epoch and drives split labels / phase length / classifier
-        // thresholds through the database's `TuneSink` hooks.
+        // each epoch and drives split labels and classifier thresholds
+        // through the database's `TuneSink` hooks.
         let tuner = match (&engine.doppel, engine.adaptive) {
             (Some(db), true) => {
                 let registry = db

@@ -36,6 +36,8 @@ use crate::wire::{WireAbort, WireStmt};
 use crate::TelemetrySnapshot;
 use doppel_common::{fast_path_op, Key, Op, ShardMap, Value};
 use std::io;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Final result of a routed transaction.
@@ -96,8 +98,10 @@ pub struct ShardRouter {
     shards: Vec<Shard>,
     force_two_phase: bool,
     decide_deadline: Duration,
-    txid_tag: u64,
-    txid_seq: u64,
+    /// High half of every 2PC txid this router issues ([`txid_tag`]).
+    txid_tag: u32,
+    /// Low half: 2PCs issued so far.
+    txid_seq: u32,
     routes: RouteStats,
 }
 
@@ -114,6 +118,29 @@ struct Part {
     shard: usize,
     id: u64,
     stmts: Vec<WireStmt>,
+}
+
+/// A fresh tag for a new router's 2PC txids, which must be unique across
+/// routers and across router restarts: marker keys and vote-log records are
+/// keyed by them. Each router owns the 2^32 txids under its tag. Routers in
+/// one process take consecutive tags from a per-process base, so they never
+/// share one; the base mixes the pid and the start time, so other processes,
+/// and this one after a restart, almost surely draw other tags.
+fn txid_tag() -> u32 {
+    static BASE: OnceLock<u32> = OnceLock::new();
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    let base = *BASE.get_or_init(|| {
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_nanos() as u64)
+            .unwrap_or(0);
+        // SplitMix64 finaliser: every input bit reaches the high half.
+        let mut z = nanos ^ (u64::from(std::process::id()) << 32);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 32) as u32
+    });
+    base.wrapping_add(NEXT.fetch_add(1, Ordering::Relaxed))
 }
 
 /// Bounded backpressure retries: commutative slices and direct submissions
@@ -153,19 +180,12 @@ impl ShardRouter {
             };
             shards.push(Shard { addr, client });
         }
-        // Distributed txids must be unique across routers and across router
-        // restarts: marker keys and vote-log records are keyed by them.
-        let nanos = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
-        let txid_tag = nanos ^ ((std::process::id() as u64) << 32);
         Ok(ShardRouter {
             map: ShardMap::new(shards.len()),
             shards,
             force_two_phase: false,
             decide_deadline: Duration::from_secs(30),
-            txid_tag,
+            txid_tag: txid_tag(),
             txid_seq: 0,
             routes: RouteStats::default(),
         })
@@ -200,8 +220,8 @@ impl ShardRouter {
     }
 
     fn fresh_txid(&mut self) -> u64 {
-        self.txid_seq += 1;
-        self.txid_tag.wrapping_add(self.txid_seq)
+        self.txid_seq = self.txid_seq.wrapping_add(1);
+        (u64::from(self.txid_tag) << 32) | u64::from(self.txid_seq)
     }
 
     /// Partitions `stmts` by owning shard (statement order preserved within
@@ -475,5 +495,19 @@ impl ShardRouter {
             merged.merge(&snap);
         }
         Ok(merged)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn txid_tags_are_distinct_within_a_process() {
+        let tags: Vec<u32> = (0..64).map(|_| txid_tag()).collect();
+        let mut unique = tags.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), tags.len(), "routers in one process shared a txid tag");
     }
 }

@@ -48,9 +48,8 @@ pub struct TelemetrySnapshot {
 pub struct TunerSnapshot {
     /// Control-loop epochs completed since the server started.
     pub epochs: u64,
-    /// The phase length the tuner currently has the coordinator running at,
-    /// in microseconds. Zero in a merged multi-shard view whose shards
-    /// disagree (rendered as `"mixed"`).
+    /// The engine's configured phase length, in microseconds. Zero in a
+    /// merged multi-shard view whose shards disagree (rendered as `"mixed"`).
     pub phase_len_us: u64,
     /// The current split set as lossy [`doppel_common::Key::heat_token`]
     /// packings, matching the encoding of `hot_keys`.

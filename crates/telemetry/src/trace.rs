@@ -52,9 +52,8 @@ pub enum EventKind {
     WalFsync = 9,
     /// The reactor shed a connection (instant; arg = connection token).
     ReactorShed = 10,
-    /// The adaptive tuner took a decision — promote/demote a split label,
-    /// adjust the phase length, retune thresholds (instant; arg = tuner
-    /// epoch). Correlate with the decision history in `doppel-stat`.
+    /// The adaptive tuner took a decision — promote/demote a split label or
+    /// retune thresholds (instant; arg = tuner epoch). Correlate with the decision history in `doppel-stat`.
     TunerDecision = 11,
 }
 

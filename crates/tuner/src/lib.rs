@@ -1,11 +1,13 @@
 //! Adaptive contention controller: a closed control loop that learns split
-//! labels, phase length and classifier thresholds from live telemetry.
+//! labels and classifier thresholds from live telemetry.
 //!
 //! The paper's mechanisms — splitting contended records, reconciling them
 //! every phase — are driven by knobs that its evaluation hand-tunes: a 20 ms
 //! phase length (§5.4), fixed split/unsplit thresholds (§5.5), and manual
 //! labels for workloads the sampler reacts to too slowly. This crate closes
-//! the loop. A [`Tuner`] samples, once per configured epoch:
+//! the loop for labels and thresholds; the phase length stays as configured,
+//! because the coordinator bounds each stashed transaction's wait per phase
+//! on its own. A [`Tuner`] samples, once per configured epoch:
 //!
 //! * the **conflict heat sketch** (per-key sampled joined-phase conflicts,
 //!   from the engine's telemetry registry) — the promotion signal;
@@ -14,10 +16,6 @@
 //!   a split key stops conflicting *by design*, so its heat always goes
 //!   cold. Demotion requires both signals idle for several consecutive
 //!   epochs (hysteresis), which is what prevents promote/demote oscillation;
-//! * the **stash-replay latency histogram** — the phase-length signal.
-//!   Stashed transactions wait for the next joined phase, so replay latency
-//!   tracks phase length directly: above target, shorten phases; far below,
-//!   lengthen them to amortise transition barriers;
 //! * the engine's **counters** — the threshold signal: persistent conflicts
 //!   with an empty split set mean the classifier's threshold is too high for
 //!   this workload's absolute throughput, so lower it (and raise it back
@@ -35,7 +33,7 @@
 
 use doppel_common::{Key, StatsSnapshot, TuneDecision, TuneSink, TunerConfig};
 use doppel_telemetry::trace::{self, EventKind};
-use doppel_telemetry::{Histogram, Registry};
+use doppel_telemetry::Registry;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -47,7 +45,7 @@ use std::time::Duration;
 pub struct TunerStatus {
     /// Control epochs completed.
     pub epochs: u64,
-    /// The phase length currently in effect.
+    /// The engine's configured phase length.
     pub phase_len: Duration,
     /// Heat tokens ([`Key::heat_token`]) of the currently-split keys.
     pub split_keys: Vec<u64>,
@@ -96,8 +94,6 @@ pub struct Tuner {
     /// The split set as of the end of the previous tick, to attribute
     /// changes made by the classifier itself (adopt/retire decisions).
     prev_split: HashSet<Key>,
-    /// Cumulative stash-replay histogram at the previous epoch.
-    prev_stash: Option<Histogram>,
     /// Engine counters at the previous epoch.
     prev_stats: Option<StatsSnapshot>,
     /// Keys demoted soon after entering the split set since the last
@@ -107,8 +103,8 @@ pub struct Tuner {
 }
 
 impl Tuner {
-    /// Creates a tuner steering `sink`, sampling conflict heat and latency
-    /// from `registry` (the engine's own telemetry registry, so the tuner's
+    /// Creates a tuner steering `sink`, sampling conflict heat from
+    /// `registry` (the engine's own telemetry registry, so the tuner's
     /// counters land next to the engine's).
     pub fn new(cfg: TunerConfig, sink: Arc<dyn TuneSink>, registry: Arc<Registry>) -> Tuner {
         Tuner {
@@ -125,7 +121,6 @@ impl Tuner {
             idle_epochs: HashMap::new(),
             entered_at: HashMap::new(),
             prev_split: HashSet::new(),
-            prev_stash: None,
             prev_stats: None,
             churn: 0,
             decisions: VecDeque::new(),
@@ -235,34 +230,6 @@ impl Tuner {
             }
         }
 
-        // ---- Phase length: steer stash-replay p95 toward the target ----
-        let mut phase_len = obs.phase_len;
-        if let Some(h) = metrics.hist("stash_replay") {
-            let delta = match &self.prev_stash {
-                Some(prev) => h.delta(prev),
-                None => h.clone(),
-            };
-            self.prev_stash = Some(h.clone());
-            // Too few replays and the percentile is noise; leave the knob.
-            if delta.count() >= 8 {
-                let p95 = delta.quantile_ns(0.95);
-                let target = self.cfg.stash_replay_target.as_nanos().min(u64::MAX as u128) as u64;
-                let reason = |p95: u64| format!("stash replay p95 {:.1}ms", p95 as f64 / 1e6);
-                if p95 > target && phase_len > self.cfg.min_phase_len {
-                    phase_len = phase_len.mul_f64(0.8).max(self.cfg.min_phase_len);
-                    decide(format!("phase_len {phase_len:?}"), reason(p95) + " above target");
-                } else if p95.saturating_mul(4) < target && phase_len < self.cfg.max_phase_len {
-                    // Deadband between the two bounds: only lengthen when
-                    // replays are comfortably fast, so the knob settles.
-                    phase_len = phase_len.mul_f64(1.25).min(self.cfg.max_phase_len);
-                    decide(format!("phase_len {phase_len:?}"), reason(p95) + " well under target");
-                }
-                if phase_len != obs.phase_len {
-                    self.sink.set_phase_len(phase_len);
-                }
-            }
-        }
-
         // ---- Thresholds: adapt the classifier's gate to the workload ----
         if let Some(prev) = &self.prev_stats {
             let conflicts = obs.stats.conflicts.saturating_sub(prev.conflicts);
@@ -303,7 +270,7 @@ impl Tuner {
         self.registry.counter("tuner_demotions").add(demotions);
         self.registry
             .gauge("tuner_phase_len_us")
-            .set(phase_len.as_micros().min(u64::MAX as u128) as u64);
+            .set(obs.phase_len.as_micros().min(u64::MAX as u128) as u64);
         for d in &taken {
             trace::instant(EventKind::TunerDecision, d.epoch);
             self.decisions.push_back(d.clone());
@@ -313,7 +280,7 @@ impl Tuner {
         }
         *self.inner.status.lock() = TunerStatus {
             epochs: epoch,
-            phase_len,
+            phase_len: obs.phase_len,
             split_keys: split_now.iter().map(|k| k.heat_token()).collect(),
             decisions: self.decisions.iter().cloned().collect(),
         };
@@ -439,10 +406,6 @@ mod tests {
             s.split.len() < before
         }
 
-        fn set_phase_len(&self, len: Duration) {
-            self.state.lock().phase_len_us = len.as_micros() as u64;
-        }
-
         fn set_thresholds(&self, t: TuneThresholds) {
             self.state.lock().thresholds = Some(t);
         }
@@ -507,36 +470,19 @@ mod tests {
     }
 
     #[test]
-    fn stash_latency_steers_phase_len_within_bounds() {
+    fn phase_len_is_reported_as_configured() {
         let sink = Arc::new(MockSink::default());
         sink.state.lock().phase_len_us = 20_000;
         let registry = Arc::new(Registry::new());
         let mut tuner = Tuner::new(cfg(), Arc::clone(&sink) as Arc<dyn TuneSink>, Arc::clone(&registry));
-
-        // Slow replays (100ms ≫ the 30ms target) → phases shrink.
-        let hist = registry.histogram("stash_replay");
+        // Slow stash replays are the coordinator's business (it bounds each
+        // stash's wait per phase); the tuner leaves the phase length alone.
         for _ in 0..32 {
-            hist.record(0, Duration::from_millis(100));
+            registry.histogram("stash_replay").record(0, Duration::from_millis(100));
         }
-        let d = tuner.tick();
-        assert!(d.iter().any(|d| d.action.starts_with("phase_len")), "{d:?}");
-        let shrunk = sink.state.lock().phase_len_us;
-        assert!(shrunk < 20_000, "phase_len shrank: {shrunk}");
-
-        // Very fast replays → phases grow again, but never past the bound.
-        for epoch in 0..64 {
-            for _ in 0..32 {
-                hist.record(0, Duration::from_micros(100));
-            }
-            tuner.tick();
-            let now = sink.state.lock().phase_len_us;
-            assert!(
-                now <= cfg().max_phase_len.as_micros() as u64,
-                "epoch {epoch}: {now} within bounds"
-            );
-        }
-        let grown = sink.state.lock().phase_len_us;
-        assert!(grown > shrunk, "phase_len recovered: {grown} > {shrunk}");
+        assert!(tuner.tick().is_empty());
+        assert_eq!(tuner.status().phase_len, Duration::from_millis(20));
+        assert_eq!(registry.snapshot().scalar("tuner_phase_len_us"), Some(20_000));
     }
 
     #[test]

@@ -84,10 +84,6 @@ impl TuneSink for SimSink {
         s.split.len() < before
     }
 
-    fn set_phase_len(&self, len: Duration) {
-        self.state.lock().phase_len_us = len.as_micros() as u64;
-    }
-
     fn set_thresholds(&self, t: TuneThresholds) {
         self.state.lock().thresholds = Some(t);
     }

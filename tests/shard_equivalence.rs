@@ -232,3 +232,53 @@ fn execute_many_matches_sequential_outcomes() {
         assert_eq!(store[k], Some(Value::Int(expected)), "key {k}");
     }
 }
+
+/// Two routers in one process over the same shards, each running many 2PCs
+/// at once: their txids must never collide, or a shard would take one
+/// router's prepare for a re-delivery of the other's, or skip a commit whose
+/// marker the other router already wrote. Every committed add must land
+/// exactly once.
+#[test]
+fn concurrent_routers_never_share_two_phase_txids() {
+    const TXNS_PER_ROUTER: usize = 10_000;
+    let cluster = start_cluster(2);
+    // Each router adds to its own pair of keys, one per shard, so the two
+    // never contend on locks: every 2PC should commit.
+    let map = ShardMap::new(2);
+    let keys_on = |shard: usize| -> Vec<Key> {
+        (0..KEYS).map(Key::raw).filter(|k| map.shard_of(*k) == shard).collect()
+    };
+    let (on0, on1) = (keys_on(0), keys_on(1));
+    // Built back to back, as two generator threads of one client would.
+    let routers: Vec<ShardRouter> = (0..2)
+        .map(|_| {
+            let mut r = ShardRouter::connect(&cluster.addrs).expect("router connects");
+            r.force_two_phase(true);
+            r
+        })
+        .collect();
+    let threads: Vec<_> = routers
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut router)| {
+            let txn = RemoteTxn::new().add(on0[i], 1).add(on1[i], 1);
+            std::thread::spawn(move || {
+                let mut committed = 0i64;
+                for _ in 0..TXNS_PER_ROUTER {
+                    if router.execute(&txn).expect("routing io").is_committed() {
+                        committed += 1;
+                    }
+                }
+                assert_eq!(router.routes().two_phase, TXNS_PER_ROUTER as u64);
+                committed
+            })
+        })
+        .collect();
+    let committed: i64 = threads.into_iter().map(|t| t.join().unwrap()).sum();
+    cluster.shutdown();
+
+    assert!(committed > 0, "no 2PC committed");
+    let store = cluster.snapshot();
+    let total: i64 = store.iter().map(|v| v.as_ref().and_then(Value::as_int).unwrap_or(0)).sum();
+    assert_eq!(total, 2 * committed, "Σ counters != committed adds (two per 2PC)");
+}
